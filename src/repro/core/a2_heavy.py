@@ -27,11 +27,15 @@ Three execution kernels implement the protocol:
   Horner-evaluated once over the whole vertex set instead of once per
   received message — ships the filtered edge batches through the typed
   columnar plane (:data:`repro.congest.wire.A2_EDGE_SCHEMA`) on the
-  **direct-exchange** path, and lists the received edge sets with a single
-  whole-network grouped oracle call
-  (:func:`repro.graphs.csr.triangles_by_group`) over the
-  destination-grouped channel columns — no per-node inboxes, views or
-  receiver loops exist anywhere in the run,
+  **direct-exchange** path, and lists the received edge sets without
+  per-node inboxes or views: on sparse graphs with a single whole-network
+  grouped oracle call (:func:`repro.graphs.csr.triangles_by_group`) over
+  the destination-grouped channel columns; on dense graphs (where step 2
+  precomputed the all-pairs hash-zero matrix) straight from the hash-zero
+  and shipping structure, either triangle-first over G's triangles or with
+  a fused zero-pair scan per receiver, whichever is priced cheaper.  With
+  default Theorem-2 parameters the hash range is 1 (every node ships its
+  whole neighbour row), which is where the triangle-first route matters,
 * the **pernode kernel** is the previous batched generation (per-node
   inbox views, one local CSR oracle per receiver), kept as the
   benchmark baseline for the direct-exchange speedup, and
@@ -373,9 +377,13 @@ class HeavyHashingLister(TriangleAlgorithm):
         channel: the received set ``F_i`` is a pure function of the
         hash-zero matrix ``Z``, the shipping mask ``S`` and the adjacency
         — an edge ``{u, v}`` is in ``F_i`` iff one endpoint shipped to
-        ``i`` and the other hashes to zero — so the kernel enumerates
-        candidate triples straight from that structure
-        (:meth:`_list_fused_dense`).  On sparse graphs the grouped channel
+        ``i`` and the other hashes to zero — so the kernel lists straight
+        from that structure, by whichever route :func:`_step3_route`
+        prices cheaper: triangle-first over G's triangles
+        (:meth:`_list_triangle_first`, about ``3·|T(G)|·n`` work — the
+        default √n schedule, hash range 1) or the per-receiver zero-pair
+        scan (:meth:`_list_fused_dense`, about ``Σ_i z_i²`` — dense graphs
+        at an analysis-regime ε).  On sparse graphs the grouped channel
         columns feed one whole-network grouped oracle call
         (:func:`repro.graphs.csr.triangles_by_group`).
         """
@@ -389,7 +397,14 @@ class HeavyHashingLister(TriangleAlgorithm):
         delivered = simulator.exchange_phase("A2:send-filtered-edges")
 
         if zero_mask is not None:
-            self._list_fused_dense(simulator, zero_mask, senders, targets)
+            if targets.shape[0] == 0:
+                return False
+            zero_counts = np.count_nonzero(zero_mask, axis=1)[np.unique(targets)]
+            triangle_count = simulator.graph.csr().count_triangles()
+            if _step3_route(num_nodes, triangle_count, zero_counts) == "fused":
+                self._list_fused_dense(simulator, zero_mask, senders, targets)
+            else:
+                self._list_triangle_first(simulator, zero_mask, senders, targets)
             return False
         channel = delivered.channel(A2_EDGE_SCHEMA)
         if channel.count:
@@ -426,8 +441,6 @@ class HeavyHashingLister(TriangleAlgorithm):
         candidate count (a small constant times the listed output), not to
         ``receivers × adjacency-rows`` as a per-receiver scan would be.
         """
-        if targets.shape[0] == 0:
-            return False
         num_nodes = simulator.num_nodes
         contexts = simulator.contexts
         adjacency = simulator.graph.csr()._bool_matrix()
@@ -478,6 +491,71 @@ class HeavyHashingLister(TriangleAlgorithm):
                 mid = x + yy + zz - lo - hi
                 output(triangle_keys(lo, mid, hi, num_nodes))
         return False
+
+    def _list_triangle_first(
+        self,
+        simulator: CongestSimulator,
+        zero_mask: np.ndarray,
+        senders: np.ndarray,
+        targets: np.ndarray,
+    ) -> None:
+        """Step 3 driven by G's triangles (dense precompute, cheap route).
+
+        Receiver ``i`` can list triangle ``T`` only when at least two of
+        T's vertices shipped to ``i``: every edge of ``F_i`` has a shipped
+        endpoint, and one vertex cannot cover the opposite edge.  So per
+        chunk of G's triangles the candidates are the receivers holding
+        ≥2 of the three sender-major shipping rows, and a (T, i) pair is
+        kept exactly when all three edges pass the same ``F_i`` membership
+        test as :meth:`_list_fused_dense`.  The kept pairs are grouped by
+        receiver and emitted with one key append per receiver.
+        """
+        num_nodes = simulator.num_nodes
+        triangles = simulator.graph.csr().triangles()
+        shipped = np.zeros((num_nodes, num_nodes), dtype=bool)
+        shipped[senders, targets] = True
+        receiver_chunks: List[np.ndarray] = []
+        key_chunks: List[np.ndarray] = []
+        triangle_chunk = chunk_rows(3 * num_nodes)
+        for start in range(0, triangles.shape[0], triangle_chunk):
+            chunk = triangles[start : start + triangle_chunk]
+            s_a, s_b, s_c = (shipped[chunk[:, k]] for k in range(3))
+            row, receiver = np.nonzero((s_a & s_b) | (s_c & (s_a | s_b)))
+            a, b, c = chunk[row, 0], chunk[row, 1], chunk[row, 2]
+            sa, sb, sc = (shipped_rows[row, receiver] for shipped_rows in (s_a, s_b, s_c))
+            za, zb, zc = (zero_mask[receiver, vertex] for vertex in (a, b, c))
+            keep = (
+                ((sa & zb) | (sb & za))
+                & ((sa & zc) | (sc & za))
+                & ((sb & zc) | (sc & zb))
+            )
+            receiver_chunks.append(receiver[keep])
+            key_chunks.append(triangle_keys(a[keep], b[keep], c[keep], num_nodes))
+        if not receiver_chunks:
+            return
+        receivers = np.concatenate(receiver_chunks)
+        order = np.argsort(receivers, kind="stable")
+        emit_grouped_keys(
+            simulator.contexts, receivers[order], np.concatenate(key_chunks)[order]
+        )
+
+
+def _step3_route(num_nodes: int, triangle_count: int, zero_counts: np.ndarray) -> str:
+    """Pick the cheaper dense step-3 route: ``"triangle-first"`` or ``"fused"``.
+
+    The triangle-first route reads three n-wide shipping rows per triangle
+    of G (``3·|T(G)|·n``); the fused scan builds a ``z_i × z_i`` zero-pair
+    matrix per receiver (``Σ z_i²`` with ``z_i ≈ n/⌊n^{ε/2}⌋`` the
+    receiver's hash-zero count).  On the default √n schedule the hash
+    range is 1, every ``z_i = n`` and the triangle-first route wins by
+    orders of magnitude; on dense graphs at an analysis-regime ε the
+    zero sets are small and the triangle count huge, so the fused scan
+    stays.
+    """
+    fused_cost = int(np.square(zero_counts.astype(np.int64)).sum())
+    if 3 * triangle_count * num_nodes < fused_cost:
+        return "triangle-first"
+    return "fused"
 
 
 def _triangles_in_edge_set(edges: Set[Edge]) -> List[Tuple[int, int, int]]:

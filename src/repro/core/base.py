@@ -66,6 +66,10 @@ def dense_pair_matrix_worthwhile(num_nodes: int, degrees: "np.ndarray") -> bool:
     only when the matrix is modest in absolute terms *and* a sizeable
     fraction of it is actually consumed; otherwise the kernels evaluate
     each neighbour-row block on demand.
+
+    This prices only step 2's hash-zero precompute.  Once the matrix
+    exists, A2's step 3 prices its own two routes separately (see
+    :func:`repro.core.a2_heavy._step3_route`).
     """
     matrix_bytes = num_nodes * num_nodes
     if matrix_bytes > DENSE_PAIR_MATRIX_MAX_BYTES:

@@ -86,7 +86,13 @@ def finding_epsilon(num_nodes: int) -> float:
 
 
 def listing_epsilon(num_nodes: int) -> float:
-    """Return the ε used by the Theorem-2 listing algorithm."""
+    """Return the ε used by the Theorem-2 listing algorithm.
+
+    ``√n / log² n`` stays at or below 1 for ``3 <= n <= 2¹⁶``, so ε clamps to
+    0 there and is still only about 0.012 at ``n = 10⁵``.  A2's hash range
+    ``⌊n^{ε/2}⌋`` is therefore 1 for every ``n`` below about 3.6 million,
+    i.e. for every size this repository runs (see :func:`a2_hash_range`).
+    """
     return epsilon_from_threshold(num_nodes, heaviness_threshold_listing(num_nodes))
 
 
@@ -127,7 +133,12 @@ def a1_sample_cap(num_nodes: int, epsilon: float) -> float:
 
 
 def a2_hash_range(num_nodes: int, epsilon: float) -> int:
-    """Return A2's hash range size ``⌊n^{ε/2}⌋`` (Figure 1), at least 1."""
+    """Return A2's hash range size ``⌊n^{ε/2}⌋`` (Figure 1), at least 1.
+
+    At the Theorem-2 default ε (:func:`listing_epsilon`) this is 1 for
+    every ``n`` below about 3.6 million: every hash maps every vertex to
+    0 and each node ships its whole neighbour row.
+    """
     _validate_epsilon(epsilon)
     return max(1, math.floor(float(num_nodes) ** (epsilon / 2.0)))
 

@@ -78,6 +78,9 @@ class QueryServer:
         self.root.mkdir(parents=True, exist_ok=True)
         self._listener, self.address = bind_service_socket(self.root)
         self._listener.listen(16)
+        # Set before the accept thread exists: a concurrent stop() may close
+        # the listener at any point after start() returns.
+        self._listener.settimeout(0.2)
         self._started_unix = time.time()
         write_service_info(
             self.root,
@@ -90,7 +93,9 @@ class QueryServer:
                 "source": self.source,
             },
         )
-        accept = threading.Thread(target=self._accept_loop, name="query-accept", daemon=True)
+        accept = threading.Thread(
+            target=self._accept_loop, args=(self._listener,), name="query-accept", daemon=True
+        )
         accept.start()
         self._threads.append(accept)
 
@@ -124,12 +129,11 @@ class QueryServer:
 
     # -- wire loop ---------------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        self._listener.settimeout(0.2)
+    def _accept_loop(self, listener) -> None:
+        """Accept on the listener handed over at start; a close ends the loop."""
         while not self._stop.is_set():
             try:
-                conn, _ = self._listener.accept()
+                conn, _ = listener.accept()
             except TimeoutError:
                 continue
             except OSError:

@@ -10,6 +10,8 @@ identical per-phase round counts, link-bit maxima, message counts and bit
 totals, and identical per-node triangle output sets, for the same seed.
 """
 
+import math
+
 import pytest
 
 from repro.core import (
@@ -97,6 +99,15 @@ class TestKernelEquivalence:
             make_graph(),
         )
 
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0])
+    def test_a2_heavy_hashing_extreme_epsilon(self, make_graph, epsilon):
+        # ε = 0 (hash range 1) is the default Theorem-2 regime; ε = 1 is
+        # the widest hash range.
+        assert_identical_execution(
+            lambda kernel: HeavyHashingLister(epsilon=epsilon, kernel=kernel),
+            make_graph(),
+        )
+
     def test_a3_light_listing(self, make_graph):
         assert_identical_execution(
             lambda kernel: LightTrianglesLister(epsilon=0.3, kernel=kernel),
@@ -127,6 +138,13 @@ class TestCompositionsAndEdgeCases:
             ),
             graph,
             seeds=(2,),
+        )
+
+    def test_theorem2_default_parameters_identical(self):
+        # Default parameters on the √n schedule: the listing ε clamps to 0.
+        graph = gnp_random_graph(100, math.sqrt(100) / 100, seed=22)
+        assert_identical_execution(
+            lambda kernel: TriangleListing(kernel=kernel), graph, seeds=(3,)
         )
 
     def test_axr_explicit_landmarks_identical(self):

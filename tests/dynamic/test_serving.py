@@ -1,5 +1,7 @@
 """In-process tests for the query server/client wire plane."""
 
+import threading
+
 import pytest
 
 from repro.api import QuerySpec
@@ -82,6 +84,21 @@ class TestLifecycle:
         server.wait()
         server.stop()
         assert not (server.root / "service.json").exists()
+
+    def test_rapid_start_stop_raises_in_no_thread(self, tmp_path, monkeypatch):
+        # stop() right after start() closes the listener while the accept
+        # thread may not have run yet; the thread must exit quietly.
+        failures = []
+        monkeypatch.setattr(threading, "excepthook", failures.append)
+        engine = TriangleQueryEngine(Graph(3, [(0, 1)]))
+        accept_threads = []
+        for attempt in range(20):
+            server = QueryServer(tmp_path / f"svc{attempt}", engine)
+            server.start()
+            accept_threads.extend(server._threads)
+            server.stop()
+        assert failures == []
+        assert not any(thread.is_alive() for thread in accept_threads)
 
     def test_client_refuses_non_query_service(self, tmp_path):
         # A discovery file without the query marker (e.g. the experiment
